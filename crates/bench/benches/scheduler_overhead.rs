@@ -32,7 +32,7 @@ fn bench(c: &mut Criterion) {
     }
 
     c.bench_function("overhead/db_write_read", |b| {
-        let db = TaskCharDb::new();
+        let mut db = TaskCharDb::new();
         let mut i = 0u64;
         b.iter(|| {
             let key = TaskKey::new("bench/stage", (i % 64) as usize);

@@ -35,6 +35,10 @@ const SUITE_SEED: u64 = 707;
 const STREAM_SEED: u64 = 909;
 /// Seed for the chaos-script scenario.
 const CHAOS_SEED: u64 = 42;
+/// Jobs in the wide-cluster stream: the suite cycled from LR.
+const WIDE_JOBS: usize = 8;
+/// Mean arrival gap of the wide-cluster stream, simulated seconds.
+const WIDE_GAP_SECS: f64 = 10.0;
 
 /// Digest-only observation: every event hashed, nothing retained.
 fn digest_opts() -> SimOptions {
@@ -81,6 +85,16 @@ pub fn compute() -> Vec<(String, u64)> {
             obs.trace.expect("digest-only trace requested").digest(),
         ));
     }
+    // 768 nodes on two racks: the only row whose cluster is big enough
+    // to exercise the offer snapshot and node rankings at scale.
+    let wide = ClusterSpec::hydra_mix(384, 256, 128);
+    let wide_jobs: Vec<Workload> = Workload::ALL.into_iter().cycle().take(WIDE_JOBS).collect();
+    let stream = build_stream(&wide, &wide_jobs, WIDE_GAP_SECS, STREAM_SEED);
+    let (_, obs) = run_stream_observed(&wide, &stream, &Sched::Rupam, STREAM_SEED, &digest_opts());
+    out.push((
+        format!("stream/mix768/{}", Sched::Rupam.label()),
+        obs.trace.expect("digest-only trace requested").digest(),
+    ));
     let script = FaultScript::parse_toml(CHAOS_SMOKE_TOML).expect("committed chaos script parses");
     let chaos_cfg = SimConfig::with_faults(script);
     for sched in [Sched::Spark, Sched::Rupam] {

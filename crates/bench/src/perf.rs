@@ -430,7 +430,7 @@ pub fn bench_cluster(label: &str, cluster: ClusterSpec, jobs: usize, seed: u64) 
 
 /// Measure `DB_task_char` read throughput over a populated store.
 pub fn bench_db(ops: usize) -> DbThroughput {
-    let db = TaskCharDb::new();
+    let mut db = TaskCharDb::new();
     let keys: Vec<TaskKey> = (0..1024)
         .map(|i| TaskKey::new(format!("perf/t{}", i % 64), i))
         .collect();
@@ -440,7 +440,6 @@ pub fn bench_db(ops: usize) -> DbThroughput {
             c.peak_mem = ByteSize::mib(64 + (i as u64 % 512));
         });
     }
-    db.flush();
 
     let t = Instant::now();
     let mut hits = 0usize;

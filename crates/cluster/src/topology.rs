@@ -230,7 +230,7 @@ impl ClusterSpec {
 }
 
 /// A partition of the cluster's nodes into disjoint shards, used to
-/// parallelise offer scoring: each shard owns a contiguous subset of the
+/// split offer scoring: each shard owns a contiguous subset of the
 /// node rankings and can be refreshed independently.
 ///
 /// Sharding policy (`shard_count`):

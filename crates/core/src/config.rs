@@ -78,8 +78,8 @@ pub struct RupamConfig {
     /// path — the audit layer cross-checks the two orderings every
     /// round — so `false` exists only as the benchmark reference.
     pub incremental_queues: bool,
-    /// How the incremental node-queue cache is sharded for parallel
-    /// offer scoring: `0` = auto (one shard per rack when the cluster has
+    /// How the incremental node-queue cache is sharded for offer
+    /// scoring: `0` = auto (one shard per rack when the cluster has
     /// more than one rack, otherwise unsharded), `n` = exactly
     /// `min(n, nodes)` fixed-size partitions. Decision-identical for
     /// every value — sharding changes how the global ranking is stored

@@ -7,39 +7,19 @@
 //! `String` clone per lookup.
 //!
 //! The paper manages DB access cost with a *helper thread*: "all write
-//! requests are queued and served by the helper thread. For read
-//! requests, the helper thread first checks the queue to see if the task
-//! has written to the database yet, and if it has, the request is served
-//! from the enqueued requests … before accessing the database." This
-//! module reproduces that design faithfully: writes go into a pending
-//! queue drained by a real background thread; reads consult the pending
-//! queue first (read-your-writes), so results are deterministic no matter
-//! how far the drain has progressed.
-//!
-//! Storage is striped across [`SHARDS`] independent shards, each with its
-//! own read-write-locked store and pending queue, so offer-round readers
-//! on different keys never serialise on one global mutex. The helper
-//! drains each shard while holding that shard's store lock, keeping the
-//! per-shard hand-off atomic from a reader's point of view (a written
-//! value is never absent from both the pending queue and the store).
+//! requests are queued and served by the helper thread", and reads check
+//! that queue before the database. It needs one because RUPAM runs
+//! inside Spark's multi-threaded driver. Our scheduler makes one offer
+//! round at a time on one thread, so the database is a plain owned map:
+//! a write is visible to the next read with no queue, lock or thread.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Mutex, RwLock};
 
 use rupam_simcore::units::ByteSize;
 use rupam_simcore::Sym;
 
 use rupam_cluster::resources::ResourceKind;
 use rupam_cluster::NodeId;
-
-/// Number of lock stripes. A small power of two: the simulator runs one
-/// scheduler thread plus the helper per DB, but the bench harness reads
-/// from several worker threads at once.
-pub const SHARDS: usize = 16;
 
 /// Database key: stable task identity across iterations and job runs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -57,19 +37,6 @@ impl TaskKey {
             template: template.into(),
             partition,
         }
-    }
-
-    /// Which stripe this key lives in: FNV-1a over the template bytes
-    /// mixed with the partition. Deterministic across runs (symbol ids
-    /// are not), though shard choice only spreads lock contention and
-    /// never affects results.
-    fn shard(&self) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.template.as_str().bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        h = (h ^ self.partition as u64).wrapping_mul(0x100_0000_01b3);
-        (h % SHARDS as u64) as usize
     }
 }
 
@@ -120,152 +87,37 @@ impl TaskChar {
     }
 }
 
-// cacheline-aligned so concurrent readers on neighbouring shards don't
-// false-share the lock words
+/// The task-characteristics database: an owned map, read and written
+/// by the scheduler's single thread.
 #[derive(Default)]
-#[repr(align(64))]
-struct Shard {
-    store: RwLock<HashMap<TaskKey, TaskChar>>,
-    pending: Mutex<Vec<(TaskKey, TaskChar)>>,
-}
-
-impl Shard {
-    fn drain(&self) {
-        // take the store lock BEFORE draining: readers check pending
-        // then store, so a value must never be absent from both. Holding
-        // the store across the transfer makes the hand-off atomic from
-        // the reader's point of view.
-        let mut store = self.store.write();
-        let drained: Vec<(TaskKey, TaskChar)> = std::mem::take(&mut *self.pending.lock());
-        for (k, v) in drained {
-            store.insert(k, v);
-        }
-    }
-}
-
-enum DbOp {
-    Drain,
-    Flush(Sender<()>),
-    Shutdown,
-}
-
-/// The task-characteristics database: sharded storage with helper-thread
-/// write-behind.
 pub struct TaskCharDb {
-    shards: Arc<[Shard; SHARDS]>,
-    ops: Sender<DbOp>,
-    helper: Option<JoinHandle<()>>,
+    store: HashMap<TaskKey, TaskChar>,
 }
 
 impl TaskCharDb {
-    /// An empty database with its helper thread running.
+    /// An empty database.
     pub fn new() -> Self {
-        let shards: Arc<[Shard; SHARDS]> = Arc::new(std::array::from_fn(|_| Shard::default()));
-        let (tx, rx) = unbounded::<DbOp>();
-        let shards2 = Arc::clone(&shards);
-        let helper = std::thread::Builder::new()
-            .name("dbtaskchar-helper".into())
-            .spawn(move || {
-                for op in rx.iter() {
-                    match op {
-                        DbOp::Drain | DbOp::Flush(_) => {
-                            for shard in shards2.iter() {
-                                shard.drain();
-                            }
-                            if let DbOp::Flush(ack) = op {
-                                let _ = ack.send(());
-                            }
-                        }
-                        DbOp::Shutdown => break,
-                    }
-                }
-            })
-            .expect("spawn db helper thread");
-        TaskCharDb {
-            shards,
-            ops: tx,
-            helper: Some(helper),
-        }
+        Self::default()
     }
 
-    /// Queue a write; the helper thread commits it to the store.
-    pub fn write(&self, key: TaskKey, value: TaskChar) {
-        self.shards[key.shard()].pending.lock().push((key, value));
-        let _ = self.ops.send(DbOp::Drain);
-    }
-
-    /// Read the latest value for `key`, consulting the shard's pending
-    /// write queue first (read-your-writes), then the store.
+    /// The latest value for `key`.
     pub fn read(&self, key: &TaskKey) -> Option<TaskChar> {
-        let shard = &self.shards[key.shard()];
-        {
-            let pending = shard.pending.lock();
-            if let Some((_, v)) = pending.iter().rev().find(|(k, _)| k == key) {
-                return Some(v.clone());
-            }
-        }
-        shard.store.read().get(key).cloned()
+        self.store.get(key).cloned()
     }
 
-    /// Read-modify-write convenience: apply `f` to the existing (or
-    /// default) record and queue the result.
-    pub fn update(&self, key: TaskKey, f: impl FnOnce(&mut TaskChar)) {
-        let mut cur = self.read(&key).unwrap_or_default();
-        f(&mut cur);
-        self.write(key, cur);
+    /// Read-modify-write: apply `f` to the existing (or default) record.
+    pub fn update(&mut self, key: TaskKey, f: impl FnOnce(&mut TaskChar)) {
+        f(self.store.entry(key).or_default());
     }
 
-    /// Ask the helper to drain pending writes without blocking — called
-    /// from heartbeat hooks so queues stay short between offer rounds.
-    /// Has no observable effect on reads (read-your-writes already covers
-    /// the pending queue).
-    pub fn nudge(&self) {
-        let _ = self.ops.send(DbOp::Drain);
-    }
-
-    /// Block until every queued write has been committed.
-    pub fn flush(&self) {
-        let (ack_tx, ack_rx) = unbounded();
-        if self.ops.send(DbOp::Flush(ack_tx)).is_ok() {
-            let _ = ack_rx.recv();
-        }
-    }
-
-    /// Drop everything (the paper clears `DB_task_char` between the five
-    /// repetitions of each Fig. 5 measurement).
-    pub fn clear(&self) {
-        self.flush();
-        for shard in self.shards.iter() {
-            shard.pending.lock().clear();
-            shard.store.write().clear();
-        }
-    }
-
-    /// Number of committed + pending records (flushes first for an exact
-    /// answer).
+    /// Number of records.
     pub fn len(&self) -> usize {
-        self.flush();
-        self.shards.iter().map(|s| s.store.read().len()).sum()
+        self.store.len()
     }
 
     /// True iff the database holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for TaskCharDb {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for TaskCharDb {
-    fn drop(&mut self) {
-        let _ = self.ops.send(DbOp::Shutdown);
-        if let Some(h) = self.helper.take() {
-            let _ = h.join();
-        }
+        self.store.is_empty()
     }
 }
 
@@ -274,21 +126,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn read_your_writes_before_drain() {
-        let db = TaskCharDb::new();
-        let key = TaskKey::new("lr/grad", 3);
-        let mut c = TaskChar::default();
-        c.observe(ResourceKind::Cpu, NodeId(1), 12.0, ByteSize::gib(1), false);
-        db.write(key, c);
-        // immediately readable even if the helper has not drained yet
-        let got = db.read(&key).expect("read-your-writes");
-        assert_eq!(got.last_bottleneck, Some(ResourceKind::Cpu));
-        assert_eq!(got.best, Some((NodeId(1), 12.0)));
-    }
-
-    #[test]
     fn update_merges_observations() {
-        let db = TaskCharDb::new();
+        let mut db = TaskCharDb::new();
         let key = TaskKey::new("pr/contrib", 0);
         db.update(key, |c| {
             c.observe(ResourceKind::Cpu, NodeId(0), 20.0, ByteSize::gib(1), false)
@@ -329,118 +168,23 @@ mod tests {
     }
 
     #[test]
-    fn flush_commits_and_clear_wipes() {
-        let db = TaskCharDb::new();
-        for i in 0..20 {
-            db.update(TaskKey::new("x", i), |c| {
-                c.observe(ResourceKind::Io, NodeId(0), 1.0, ByteSize::ZERO, false)
-            });
+    fn len_counts_distinct_keys() {
+        let mut db = TaskCharDb::new();
+        assert!(db.is_empty());
+        for round in 0..3 {
+            for i in 0..20 {
+                db.update(TaskKey::new("x", i), |c| {
+                    c.observe(ResourceKind::Io, NodeId(round), 1.0, ByteSize::ZERO, false)
+                });
+            }
         }
         assert_eq!(db.len(), 20);
-        db.clear();
-        assert!(db.is_empty());
-        assert!(db.read(&TaskKey::new("x", 0)).is_none());
+        assert_eq!(db.read(&TaskKey::new("x", 7)).unwrap().runs, 3);
     }
 
     #[test]
     fn unknown_key_reads_none() {
         let db = TaskCharDb::new();
         assert!(db.read(&TaskKey::new("missing", 0)).is_none());
-    }
-
-    #[test]
-    fn a_written_key_is_always_readable() {
-        // regression: the helper thread must never expose a window where
-        // a written value is in neither the pending queue nor the store
-        // (that window made whole simulations nondeterministic under load)
-        let db = TaskCharDb::new();
-        for i in 0..5_000u64 {
-            let key = TaskKey::new("race", (i % 7) as usize);
-            db.update(key, |c| {
-                c.observe(
-                    ResourceKind::Net,
-                    NodeId(0),
-                    i as f64,
-                    ByteSize::ZERO,
-                    false,
-                )
-            });
-            let got = db.read(&key);
-            assert!(got.is_some(), "write {i} vanished mid-drain");
-        }
-    }
-
-    #[test]
-    fn survives_many_writers_worth_of_traffic() {
-        // hammer the write path to exercise the helper thread
-        let db = TaskCharDb::new();
-        for round in 0..50 {
-            for i in 0..10 {
-                db.update(TaskKey::new("hot", i), |c| {
-                    c.observe(
-                        ResourceKind::Cpu,
-                        NodeId(round % 3),
-                        (round + 1) as f64,
-                        ByteSize::ZERO,
-                        false,
-                    )
-                });
-            }
-        }
-        db.flush();
-        let got = db.read(&TaskKey::new("hot", 5)).unwrap();
-        assert_eq!(got.runs, 50);
-        assert_eq!(got.best.unwrap().1, 1.0, "first round was fastest");
-    }
-
-    #[test]
-    fn keys_spread_across_shards() {
-        let keys: Vec<TaskKey> = (0..64)
-            .flat_map(|p| {
-                ["a/map", "b/reduce", "c/join"]
-                    .into_iter()
-                    .map(move |t| TaskKey::new(t, p))
-            })
-            .collect();
-        let mut used = std::collections::HashSet::new();
-        for k in &keys {
-            used.insert(k.shard());
-        }
-        assert!(
-            used.len() > SHARDS / 2,
-            "striping degenerated to {} shards",
-            used.len()
-        );
-    }
-
-    #[test]
-    fn concurrent_readers_and_writer() {
-        let db = Arc::new(TaskCharDb::new());
-        for i in 0..256 {
-            db.update(TaskKey::new("warm", i), |c| {
-                c.observe(ResourceKind::Cpu, NodeId(0), 5.0, ByteSize::ZERO, false)
-            });
-        }
-        db.flush();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let db = Arc::clone(&db);
-                scope.spawn(move || {
-                    for i in 0..4_000usize {
-                        let key = TaskKey::new("warm", (i * (t + 1)) % 256);
-                        assert!(db.read(&key).is_some());
-                    }
-                });
-            }
-            let db2 = Arc::clone(&db);
-            scope.spawn(move || {
-                for i in 0..1_000 {
-                    db2.update(TaskKey::new("churn", i % 32), |c| {
-                        c.observe(ResourceKind::Io, NodeId(1), 2.0, ByteSize::ZERO, false)
-                    });
-                }
-            });
-        });
-        assert_eq!(db.len(), 256 + 32);
     }
 }

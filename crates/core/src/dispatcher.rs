@@ -1077,7 +1077,9 @@ impl<'a> Dispatcher<'a> {
     /// memory; node id breaks the final tie, so the plan is a pure
     /// function of the snapshot.
     fn gang_slot(&self, view: &PendingTaskView, peak: ByteSize) -> Option<(NodeId, bool, Locality)> {
-        let mut best: Option<((bool, Locality, std::cmp::Reverse<ByteSize>, NodeId), bool)> = None;
+        // (no GPU slot, locality, most free memory, node id): smallest wins
+        type SlotKey = (bool, Locality, std::cmp::Reverse<ByteSize>, NodeId);
+        let mut best: Option<(SlotKey, bool)> = None;
         for v in &self.input.nodes {
             let n = v.node;
             let gpu_ok = view.gpu_capable && self.has_room_floored(n, ResourceKind::Gpu, Some(peak));

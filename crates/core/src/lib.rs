@@ -12,8 +12,7 @@
 //!   nodes ordered by capability (descending) then utilisation
 //!   (ascending) (§III-B1).
 //! * [`tm`] — the Task Manager: Algorithm 1 task characterisation, the
-//!   per-resource Task Queues, and `DB_task_char` with its helper-thread
-//!   write-behind (§III-B2).
+//!   per-resource Task Queues, and `DB_task_char` (§III-B2).
 //! * [`dispatcher`] — Algorithm 2: round-robin across resource kinds,
 //!   memory feasibility, best-executor locking, locality tie-breaks.
 //! * [`straggler`] — memory-straggler relocation and GPU/CPU racing

@@ -152,11 +152,6 @@ impl Ord for Rank {
     }
 }
 
-/// Full parallel refresh only pays off once per-shard work dwarfs the
-/// `std::thread::scope` spawn/join overhead (tens of microseconds —
-/// several times a whole hydra64 offer round).
-const PARALLEL_REFRESH_MIN_NODES: usize = 512;
-
 /// One shard of the node rankings: the ordered sets, current keys and
 /// materialised dispatch queues for a disjoint subset of the cluster's
 /// nodes (one rack, under the default policy).
@@ -257,8 +252,7 @@ impl QueueShard {
 /// Persistent per-kind node rankings, updated in place between offer
 /// rounds instead of rebuilt by a full sort — and partitioned into
 /// rack-aligned shards (see [`ShardMap`]) so refreshes touch only the
-/// shards whose nodes changed and, on big clusters, full re-scores run
-/// shard-parallel under `std::thread::scope`.
+/// shards whose nodes changed.
 ///
 /// Each shard keeps, per resource kind, an ordered set of [`Rank`]
 /// entries plus the key each owned node currently occupies. A refresh
@@ -330,8 +324,7 @@ impl NodeQueueCache {
     /// may differ from the previous offer round. When present (and the
     /// cache is already populated for this cluster) only those nodes are
     /// re-keyed — the storm-batching fast path. `None` means "assume
-    /// anything moved" and re-keys every node, shard-parallel on big
-    /// clusters.
+    /// anything moved" and re-keys every node.
     pub fn refresh(
         &mut self,
         cluster: &ClusterSpec,
@@ -367,18 +360,6 @@ impl NodeQueueCache {
                     let local = self.local_of[id.index()] as usize;
                     self.shards[s].refresh_member(cluster, &views[id.index()], local);
                 }
-            }
-            _ if self.shards.len() > 1 && views.len() >= PARALLEL_REFRESH_MIN_NODES => {
-                std::thread::scope(|scope| {
-                    for shard in &mut self.shards {
-                        scope.spawn(move || {
-                            shard.refresh_all(cluster, views);
-                            if shard.dirty {
-                                shard.materialize(cluster);
-                            }
-                        });
-                    }
-                });
             }
             _ => {
                 for shard in &mut self.shards {

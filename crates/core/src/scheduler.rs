@@ -112,12 +112,6 @@ impl RupamScheduler {
     pub fn tm(&self) -> &TaskManager {
         &self.tm
     }
-
-    /// Wipe the task-characteristics DB (the Fig. 5 protocol clears it
-    /// between repetitions).
-    pub fn clear_db(&self) {
-        self.tm.clear_db();
-    }
 }
 
 impl Scheduler for RupamScheduler {
@@ -418,13 +412,6 @@ impl Scheduler for RupamScheduler {
             findings.extend(self.node_cache.verify(input.cluster, &input.nodes));
         }
         findings
-    }
-
-    fn on_heartbeat(&mut self, _now: SimTime) {
-        // fold queued DB_task_char writes into the store off the
-        // dispatch path, so offer rounds mostly hit the read-optimised
-        // shards with empty pending queues
-        self.tm.db().nudge();
     }
 }
 

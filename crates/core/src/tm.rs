@@ -540,9 +540,8 @@ impl TaskManager {
         &self.db
     }
 
-    /// Reset run-local state, keeping the DB (cross-run learning) —
-    /// the harness calls [`TaskManager::clear_db`] separately when the
-    /// experiment protocol requires a cold DB.
+    /// Reset run-local state, keeping the DB (cross-run learning). A
+    /// cold-DB run builds a fresh scheduler instead.
     pub fn reset_run_state(&mut self) {
         self.queues = TaskQueues::new();
         if self.cfg.tenant_aware() {
@@ -556,11 +555,6 @@ impl TaskManager {
         self.median_cache.borrow_mut().clear();
         self.class_meta.clear();
         self.key_index.clear();
-    }
-
-    /// Wipe the characteristics database (Fig. 5 protocol).
-    pub fn clear_db(&self) {
-        self.db.clear();
     }
 
     /// DB lookup for a pending task.
@@ -688,7 +682,7 @@ impl TaskManager {
 
     /// A DB write landed on `key`: recompute the classification of every
     /// still-queued task characterising under it (the lock or observed
-    /// peak may have appeared / changed). The DB is read-your-writes, so
+    /// peak may have appeared / changed). A DB write is visible at once, so
     /// doing this at the record call site keeps the persistent split
     /// exactly as fresh as a per-round rebuild would see it.
     fn reclassify_key(&mut self, key: TaskKey) {

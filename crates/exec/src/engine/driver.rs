@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 
-use rupam_cluster::monitor::{HeartbeatSnapshot, NodeMetrics};
+use rupam_cluster::monitor::HeartbeatSnapshot;
 use rupam_cluster::{NodeId, ResourceMonitor};
 use rupam_dag::app::JobId;
 use rupam_faults::FailureDetector;
@@ -310,11 +310,6 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
             }
         }
         best
-    }
-
-    /// Node-level utilisation snapshot from current phase occupancy.
-    pub(crate) fn node_metrics(&self, node_idx: usize) -> NodeMetrics {
-        self.snapshot_ctx().node_metrics(node_idx)
     }
 
     /// Sample every node's metrics and feed the monitor *one batch* for

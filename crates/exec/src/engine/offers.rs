@@ -8,11 +8,11 @@
 //! snapshot the scheduler saw.
 
 use rupam_cluster::monitor::NodeMetrics;
-use rupam_cluster::{ClusterSpec, NodeId};
+use rupam_cluster::NodeId;
 use rupam_dag::app::StageId;
 use rupam_dag::TaskRef;
-use rupam_faults::{FailureDetector, NodeHealth};
-use rupam_simcore::time::{SimDuration, SimTime};
+use rupam_faults::NodeHealth;
+use rupam_simcore::time::SimDuration;
 use rupam_simcore::units::ByteSize;
 
 use crate::costmodel::PhaseResource;
@@ -22,29 +22,13 @@ use rupam_simcore::source::EventSource;
 
 use super::driver::{Engine, Event};
 use super::events::EngineEvent;
-use super::state::{ClusterState, TaskState};
+use super::state::TaskState;
 
-/// Below this many nodes a parallel snapshot costs more in thread
-/// spawn/join than it saves (an offer round on hydra64 is single-digit
-/// microseconds).
-const PARALLEL_SNAPSHOT_MIN_NODES: usize = 512;
-
-/// The read-only inputs a node-view snapshot needs, split from the
-/// engine so view construction can fan out across scoped threads on big
-/// clusters (everything here is a shared borrow).
-pub(crate) struct SnapshotCtx<'e> {
-    state: &'e ClusterState,
-    cluster: &'e ClusterSpec,
-    detector: Option<&'e FailureDetector>,
-    elastic: Option<&'e super::elastic::ElasticRt>,
-    now: SimTime,
-}
-
-impl SnapshotCtx<'_> {
+impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
     /// Node-level utilisation snapshot from current phase occupancy.
     pub(crate) fn node_metrics(&self, node_idx: usize) -> NodeMetrics {
         let node = &self.state.nodes[node_idx];
-        let spec = self.cluster.node(NodeId(node_idx));
+        let spec = self.input.cluster.node(NodeId(node_idx));
         let mut n_cpu = 0u32;
         let mut n_gpu = 0u32;
         let mut net_bps = 0.0f64;
@@ -76,7 +60,7 @@ impl SnapshotCtx<'_> {
     fn node_view(&self, idx: usize) -> NodeView {
         let node = &self.state.nodes[idx];
         let m = self.node_metrics(idx);
-        let (heartbeat_age, dead, suspect) = match self.detector {
+        let (heartbeat_age, dead, suspect) = match &self.detector {
             Some(d) => {
                 let id = NodeId(idx);
                 (
@@ -101,7 +85,7 @@ impl SnapshotCtx<'_> {
                 }
             })
             .collect();
-        let (tier, preempt_risk) = match self.elastic {
+        let (tier, preempt_risk) = match &self.elastic {
             Some(el) => (
                 el.tier_of(idx),
                 if node.provisioned {
@@ -130,18 +114,6 @@ impl SnapshotCtx<'_> {
             tier,
             draining,
             preempt_risk,
-        }
-    }
-}
-
-impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
-    pub(crate) fn snapshot_ctx(&self) -> SnapshotCtx<'_> {
-        SnapshotCtx {
-            state: &self.state,
-            cluster: self.input.cluster,
-            detector: self.detector.as_ref(),
-            elastic: self.elastic.as_ref(),
-            now: self.now,
         }
     }
 
@@ -176,40 +148,11 @@ impl<'a, 's, S: EventSource<Event>> Engine<'a, 's, S> {
         }
     }
 
-    /// Build all node views, fanning out across scoped threads once the
-    /// cluster is big enough for the spawn cost to amortise. Chunk
-    /// boundaries never affect the result (views are pure per-node
-    /// functions of frozen state, concatenated in node order).
+    /// Build every node view, in node order.
     fn build_node_views(&self) -> Vec<NodeView> {
-        let n = self.state.nodes.len();
-        let ctx = self.snapshot_ctx();
-        let threads = match self.input.config.engine.shard_count {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(8),
-            k => k,
-        }
-        .min(n)
-        .max(1);
-        if n < PARALLEL_SNAPSHOT_MIN_NODES || threads == 1 {
-            return (0..n).map(|i| ctx.node_view(i)).collect();
-        }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|start| {
-                    let end = (start + chunk).min(n);
-                    let ctx = &ctx;
-                    scope.spawn(move || (start..end).map(|i| ctx.node_view(i)).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("snapshot worker panicked"))
-                .collect()
-        })
+        (0..self.state.nodes.len())
+            .map(|i| self.node_view(i))
+            .collect()
     }
 
     /// Diff this round's views against the previous round's shadow —

@@ -379,8 +379,7 @@ pub trait Scheduler {
     }
 
     /// Engine heartbeat tick — a hook for cheap background maintenance
-    /// (draining write-behind stores, aging caches) off the dispatch
-    /// path. Default: nothing.
+    /// (aging caches, say) off the dispatch path. Default: nothing.
     fn on_heartbeat(&mut self, _now: SimTime) {}
 }
 

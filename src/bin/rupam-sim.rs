@@ -34,6 +34,9 @@
 //! reports violations (exit code 1 if any fire); `--trace <path>` writes
 //! the full decision trace as CSV, one file per scheduler.
 //!
+//! A run that aborts before every job finishes (`completed false`) also
+//! exits 1, after the full report is printed.
+//!
 //! `--jobs N` (N > 1) switches to a multi-tenant stream: N suite
 //! workloads, cycling [`Workload::ALL`] starting at `--workload`, arrive
 //! online with seeded exponential inter-arrival gaps of mean
@@ -508,11 +511,18 @@ fn run_one(opts: &Options, sched: &Sched) -> bool {
                 ),
             }
         }
+        let total = report.jobs.len();
+        let finished = report.jobs.iter().filter(|j| j.jct().is_some()).count();
+        let unfinished = total - finished;
+        let over = if unfinished == 0 {
+            format!("{total} jobs")
+        } else {
+            format!("{finished} of {total} jobs ({unfinished} unfinished)")
+        };
         println!(
-            "  JCT mean {:.1}s | p95 {:.1}s over {} jobs",
+            "  JCT mean {:.1}s | p95 {:.1}s over {over}",
             report.jct_mean(),
             report.jct_p95(),
-            report.jobs.len()
         );
         if !opts.tenants.is_empty() {
             for (tenant, mean) in report.tenant_jct_means() {
@@ -540,7 +550,10 @@ fn run_one(opts: &Options, sched: &Sched) -> bool {
             Err(e) => eprintln!("could not write {file}: {e}"),
         }
     }
-    let mut clean = true;
+    let mut clean = report.completed;
+    if !report.completed {
+        eprintln!("{}: the run did not complete", sched.label());
+    }
     if let Some(obs) = observation {
         if let (Some(path), Some(trace)) = (&opts.trace, obs.trace.as_ref()) {
             let file = format!("{path}.{}.csv", sched.label().to_lowercase());
