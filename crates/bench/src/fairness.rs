@@ -34,7 +34,9 @@ use rand::Rng;
 use rupam::{AllocationPolicy, RupamConfig, TenantSpec};
 use rupam_cluster::ClusterSpec;
 use rupam_dag::task::{InputSource, TaskDemand, TaskTemplate};
-use rupam_dag::{AppBuilder, Application, DataLayout, JobStream, MergedStream, StageKind, TenantId};
+use rupam_dag::{
+    AppBuilder, Application, DataLayout, JobStream, MergedStream, StageKind, TenantId,
+};
 use rupam_metrics::table::{secs, Table};
 use rupam_simcore::time::SimTime;
 use rupam_simcore::{stats, RngFactory};
@@ -263,10 +265,7 @@ pub fn table(rows: &[FairnessRow]) -> Table {
     let mut t = Table::new(
         format!(
             "Tenant fairness — heavy {}×{} burst vs light {}×{} trickle",
-            HEAVY_JOBS,
-            HEAVY_WIDTH,
-            LIGHT_JOBS,
-            LIGHT_WIDTH
+            HEAVY_JOBS, HEAVY_WIDTH, LIGHT_JOBS, LIGHT_WIDTH
         ),
         &[
             "policy",

@@ -645,11 +645,7 @@ pub fn to_json(r: &PerfReport) -> String {
             big.jobs_per_sec
         );
     }
-    let _ = writeln!(
-        s,
-        "    \"fairness_jain_weighted\": {:.3},",
-        r.fairness_jain
-    );
+    let _ = writeln!(s, "    \"fairness_jain_weighted\": {:.3},", r.fairness_jain);
     let _ = writeln!(s, "    \"gang_admission_noop\": {:.1},", r.gang_noop);
     let _ = writeln!(s, "    \"engine_event_overhead\": {:.3},", r.event_overhead);
     let _ = writeln!(

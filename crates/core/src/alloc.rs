@@ -426,7 +426,10 @@ mod tests {
             s.order(AllocationPolicy::WeightedFair),
             vec![TenantId(0), TenantId(1)]
         );
-        assert_eq!(s.order(AllocationPolicy::Drf), vec![TenantId(0), TenantId(1)]);
+        assert_eq!(
+            s.order(AllocationPolicy::Drf),
+            vec![TenantId(0), TenantId(1)]
+        );
     }
 
     #[test]

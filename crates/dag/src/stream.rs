@@ -15,8 +15,8 @@
 //! two tenants running the same workload share characterization keys,
 //! which is exactly the cross-job reuse under study.
 
-use rupam_simcore::time::SimTime;
 use rupam_simcore::define_id;
+use rupam_simcore::time::SimTime;
 
 use crate::app::{Application, Job, JobId, Stage, StageId};
 use crate::data::{BlockId, DataLayout};

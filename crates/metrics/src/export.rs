@@ -83,13 +83,22 @@ pub fn trace_csv(trace: &crate::trace::TraceBuffer) -> String {
     for e in trace.iter() {
         let mut tenant = String::new();
         let (task, node, detail) = match &e.kind {
-            K::ExecutorSized { node, mem } => {
-                (String::new(), node.index().to_string(), format!("mem={}", mem.bytes()))
-            }
-            K::OfferRound { pending, running, blocked, commands } => (
+            K::ExecutorSized { node, mem } => (
+                String::new(),
+                node.index().to_string(),
+                format!("mem={}", mem.bytes()),
+            ),
+            K::OfferRound {
+                pending,
+                running,
+                blocked,
+                commands,
+            } => (
                 String::new(),
                 String::new(),
-                format!("pending={pending} running={running} blocked={blocked} commands={commands}"),
+                format!(
+                    "pending={pending} running={running} blocked={blocked} commands={commands}"
+                ),
             ),
             K::JobSubmitted { job, tenant: t } => {
                 tenant = t.index().to_string();
@@ -124,12 +133,20 @@ pub fn trace_csv(trace: &crate::trace::TraceBuffer) -> String {
             K::KillRequeue { task, node } => {
                 (fmt_task(task), node.index().to_string(), String::new())
             }
-            K::OomTaskKill { task, node, pressure_pct } => (
+            K::OomTaskKill {
+                task,
+                node,
+                pressure_pct,
+            } => (
                 fmt_task(task),
                 node.index().to_string(),
                 format!("pressure_pct={pressure_pct}"),
             ),
-            K::ExecutorLost { node, victims, pressure_pct } => (
+            K::ExecutorLost {
+                node,
+                victims,
+                pressure_pct,
+            } => (
                 String::new(),
                 node.index().to_string(),
                 format!("victims={victims} pressure_pct={pressure_pct}"),
@@ -143,9 +160,11 @@ pub fn trace_csv(trace: &crate::trace::TraceBuffer) -> String {
             K::AuditViolation { check, detail } => {
                 (String::new(), String::new(), format!("{check}: {detail}"))
             }
-            K::FaultInjected { node, fault } => {
-                (String::new(), node.index().to_string(), format!("fault={fault}"))
-            }
+            K::FaultInjected { node, fault } => (
+                String::new(),
+                node.index().to_string(),
+                format!("fault={fault}"),
+            ),
             K::NodeSuspect { node, age } => (
                 String::new(),
                 node.index().to_string(),
@@ -162,9 +181,7 @@ pub fn trace_csv(trace: &crate::trace::TraceBuffer) -> String {
                 node.index().to_string(),
                 format!("stage={} tasks={tasks}", stage.index()),
             ),
-            K::NodeProvisioned { node } => {
-                (String::new(), node.index().to_string(), String::new())
-            }
+            K::NodeProvisioned { node } => (String::new(), node.index().to_string(), String::new()),
             K::NodeDecommissioned { node } => {
                 (String::new(), node.index().to_string(), String::new())
             }

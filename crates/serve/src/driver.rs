@@ -1478,7 +1478,11 @@ impl<'a, S: EventSource<ServeEvent>> ServeDriver<'a, S> {
                     },
                 );
             }
-            Command::KillAndRequeue { task, node, reason: _ } => {
+            Command::KillAndRequeue {
+                task,
+                node,
+                reason: _,
+            } => {
                 let TaskSt::Running { node: on, .. } =
                     self.stages[task.stage.index()].tasks[task.index]
                 else {

@@ -532,7 +532,10 @@ fn run_one(opts: &Options, sched: &Sched) -> bool {
                     t.name, t.weight
                 );
             }
-            println!("  Jain index over per-tenant mean JCTs: {:.3}", report.tenant_jain_jct());
+            println!(
+                "  Jain index over per-tenant mean JCTs: {:.3}",
+                report.tenant_jain_jct()
+            );
         }
     }
     if opts.census {

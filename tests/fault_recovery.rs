@@ -263,7 +263,7 @@ fn corrupted_recovery_decision_trips_auditor() {
         pending,
         speculatable: vec![],
         job_arrivals: vec![SimTime::ZERO],
-            job_tenants: vec![rupam_dag::TenantId(0)],
+        job_tenants: vec![rupam_dag::TenantId(0)],
         changed: None,
         pending_fresh: None,
     };
