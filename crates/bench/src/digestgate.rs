@@ -2,9 +2,9 @@
 //!
 //! Replays a fixed scenario matrix — the full workload suite on two
 //! cluster shapes under all three schedulers, the multi-tenant stream,
-//! and the chaos-smoke fault script — and records each run's decision-
-//! trace digest. The committed golden file
-//! (`tests/golden_trace_digests.txt`) pins the decision stream of the
+//! the chaos-smoke fault script, the tenant allocation policies and gang
+//! admission — and records each run's decision-trace digest. The
+//! committed golden file (`tests/golden_trace_digests.txt`) pins the decision stream of the
 //! tenant-aware engine (`v2`: trace events carry tenants); any refactor
 //! of the engine, bus, or schedulers that changes a single decision (or
 //! the order decisions are recorded in) flips a digest and fails the
@@ -16,11 +16,13 @@
 
 use std::fmt::Write as _;
 
+use rupam::{AllocationPolicy, RupamConfig, TenantSpec};
 use rupam_cluster::ClusterSpec;
 use rupam_exec::{SimConfig, SimOptions};
 use rupam_faults::FaultScript;
 use rupam_workloads::Workload;
 
+use crate::fairness::{build_skewed_stream, contended_cluster, policy_config};
 use crate::harness::{run_stream_observed, run_workload_observed_cfg, Sched};
 use crate::multitenant::{build_stream, MEAN_GAP_SECS, TENANTS};
 
@@ -35,6 +37,9 @@ const SUITE_SEED: u64 = 707;
 const STREAM_SEED: u64 = 909;
 /// Seed for the chaos-script scenario.
 const CHAOS_SEED: u64 = 42;
+/// Seed for the tenant-policy scenarios (matches
+/// `tests/tenant_scheduling.rs`).
+const TENANT_SEED: u64 = 101;
 /// Jobs in the wide-cluster stream: the suite cycled from LR.
 const WIDE_JOBS: usize = 8;
 /// Mean arrival gap of the wide-cluster stream, simulated seconds.
@@ -111,6 +116,53 @@ pub fn compute() -> Vec<(String, u64)> {
             obs.trace.expect("digest-only trace requested").digest(),
         ));
     }
+    // Tenant-aware dispatch: the skewed two-tenant stream under a
+    // quota'd weighted-fair policy (preemption waves) and under DRF,
+    // so the per-tenant matching passes are pinned too.
+    let contended = contended_cluster();
+    let skewed = build_skewed_stream(TENANT_SEED);
+    let quota_cfg = RupamConfig {
+        allocation: AllocationPolicy::WeightedFair,
+        tenants: vec![
+            TenantSpec {
+                weight: 1.0,
+                quota: Some(0.25),
+            },
+            TenantSpec {
+                weight: 1.0,
+                quota: None,
+            },
+        ],
+        ..RupamConfig::default()
+    };
+    for sched in [
+        Sched::RupamWith(quota_cfg),
+        Sched::RupamWith(policy_config(AllocationPolicy::Drf)),
+    ] {
+        let (_, obs) =
+            run_stream_observed(&contended, &skewed, &sched, TENANT_SEED, &digest_opts());
+        out.push((
+            format!("tenants/mix211/{}", sched.label()),
+            obs.trace.expect("digest-only trace requested").digest(),
+        ));
+    }
+    // All-or-nothing gang admission of the Gramian's BLAS stage.
+    let gang = Sched::RupamWith(RupamConfig {
+        gang_admission: true,
+        ..RupamConfig::default()
+    });
+    let (_, obs) = run_workload_observed_cfg(
+        &cluster,
+        Workload::GramianMatrix,
+        &gang,
+        SUITE_SEED,
+        &digest_opts(),
+        &config,
+    );
+    out.push((
+        format!("gang/hydra/GM/{}", gang.label()),
+        obs.trace.expect("digest-only trace requested").digest(),
+    ));
     out
 }
 
