@@ -76,7 +76,8 @@ pub struct RupamConfig {
     /// memoised DB lookups) instead of rebuilding and re-sorting from
     /// scratch every offer round. Decision-identical to the rebuild
     /// path — the audit layer cross-checks the two orderings every
-    /// round — so `false` exists only as the benchmark reference.
+    /// round — so `false` exists only as the equivalence oracle and
+    /// benchmark reference.
     pub incremental_queues: bool,
     /// How the incremental node-queue cache is sharded for offer
     /// scoring: `0` = auto (one shard per rack when the cluster has

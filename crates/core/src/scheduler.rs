@@ -199,20 +199,27 @@ impl Scheduler for RupamScheduler {
             self.tm.note_tenants(&input.job_tenants);
         }
 
-        // 1. submit newly pending tasks to the TM queues. With the
-        //    `pending_fresh` warranty the full O(pending) scan collapses
-        //    to the listed tasks: anything unlisted is either already
-        //    queued with an unchanged view, or left the queues through
-        //    this scheduler's own commands. Fresh-but-queued tasks only
-        //    changed their view — refresh their classification without
-        //    re-ingesting (the full scan never re-ingests them either).
+        // 1. submit newly pending tasks to the TM queues and refresh the
+        //    split classification of queued tasks whose view changed
+        //    (queued tasks are never re-ingested). Without a warranty
+        //    every pending view is checked, O(pending). With the
+        //    `pending_fresh` warranty the scan collapses to the listed
+        //    tasks: anything unlisted is either already queued with an
+        //    unchanged view, or left the queues through this
+        //    scheduler's own commands.
         match &input.pending_fresh {
             None => {
                 for view in &input.pending {
                     if !self.tm.queues.contains(&view.task) {
                         self.tm.requeue(view, input.now);
+                    } else {
+                        self.tm.reclassify_view(view);
                     }
                 }
+                // a task leaves `pending` only through this scheduler's
+                // own launches, which also dequeue it: the split the
+                // dispatcher probes holds exactly the pending set
+                debug_assert_eq!(self.tm.queues.len(), input.pending.len());
             }
             Some(fresh) => {
                 for task in fresh {
@@ -307,30 +314,19 @@ impl Scheduler for RupamScheduler {
 
         // 3. Algorithm 2 dispatch (gang stages first: all-or-nothing
         //    co-residency, with failed plans held for the round)
+        let order = order.as_deref();
         if self.cfg.incremental_queues {
             let mut dispatcher = Dispatcher::new_incremental(&self.cfg, input);
             if self.cfg.gang_admission {
                 cmds.extend(dispatcher.admit_gangs(&mut self.tm));
             }
-            match &order {
-                Some(order) => cmds.extend(dispatcher.dispatch_ordered_incremental(
-                    &mut self.tm,
-                    &mut self.node_cache,
-                    order,
-                )),
-                None => {
-                    cmds.extend(dispatcher.dispatch_incremental(&mut self.tm, &mut self.node_cache))
-                }
-            }
+            cmds.extend(dispatcher.dispatch_incremental(&mut self.tm, &mut self.node_cache, order));
         } else {
             let mut dispatcher = Dispatcher::new(&self.cfg, input);
             if self.cfg.gang_admission {
                 cmds.extend(dispatcher.admit_gangs(&mut self.tm));
             }
-            match &order {
-                Some(order) => cmds.extend(dispatcher.dispatch_ordered(&mut self.tm, order)),
-                None => cmds.extend(dispatcher.dispatch(&mut self.tm)),
-            }
+            cmds.extend(dispatcher.dispatch(&mut self.tm, order));
         }
 
         // 4. engine-flagged stragglers: relocate to the best node for
@@ -652,6 +648,116 @@ mod tests {
         assert!(db
             .read(&crate::db::TaskKey::new("j1@compute/data", 0))
             .is_some());
+    }
+
+    /// One single-stage job of `width` tasks.
+    fn one_stage_app(width: usize) -> Application {
+        let mut b = rupam_dag::AppBuilder::new("resync");
+        let j = b.begin_job();
+        let tasks = (0..width)
+            .map(|i| TaskTemplate {
+                index: i,
+                input: InputSource::Generated,
+                demand: TaskDemand::default(),
+            })
+            .collect();
+        b.add_stage(j, "r", "resync/r", StageKind::Result, vec![], tasks);
+        b.build()
+    }
+
+    fn idle_views(cluster: &ClusterSpec, blocked: bool) -> Vec<rupam_exec::scheduler::NodeView> {
+        cluster
+            .iter()
+            .map(|(id, spec)| rupam_exec::scheduler::NodeView {
+                node: id,
+                executor_mem: spec.mem.saturating_sub(ByteSize::gib(2)),
+                mem_in_use: ByteSize::ZERO,
+                free_mem: spec.mem.saturating_sub(ByteSize::gib(2)),
+                running: vec![],
+                cpu_util: 0.0,
+                net_util: 0.0,
+                disk_util: 0.0,
+                gpus_idle: spec.gpus,
+                blocked,
+                heartbeat_age: SimDuration::ZERO,
+                dead: false,
+                suspect: false,
+                tier: rupam_cluster::NodeTier::OnDemand,
+                draining: false,
+                preempt_risk: 0.0,
+            })
+            .collect()
+    }
+
+    fn resync_view(index: usize) -> rupam_exec::scheduler::PendingTaskView {
+        rupam_exec::scheduler::PendingTaskView {
+            task: rupam_dag::TaskRef {
+                stage: StageId(0),
+                index,
+            },
+            job: rupam_dag::app::JobId(0),
+            template_key: "resync/r".into(),
+            stage_kind: StageKind::Result,
+            attempt_no: 0,
+            peak_mem_hint: ByteSize::ZERO,
+            gpu_capable: false,
+            process_nodes: vec![],
+            node_local: vec![],
+        }
+    }
+
+    /// Without a `pending_fresh` warranty the scheduler must re-sync the
+    /// Task Manager's persistent split from the views itself: a task
+    /// queued (and held back) in round 1 whose view changes in round 2
+    /// is probed under its new classification, so the incremental path
+    /// launches exactly what the queue-scanning reference launches.
+    #[test]
+    fn no_warranty_resync_matches_reference_dispatch() {
+        let cluster = ClusterSpec::hydra();
+        let app = one_stage_app(4);
+        let everywhere: Vec<NodeId> = cluster.iter().map(|(id, _)| id).collect();
+        // round 2 mutations of task 1's view: a placement preference it
+        // matches on every node, or a peak no node can hold
+        let mutations: [fn(&mut rupam_exec::scheduler::PendingTaskView, &[NodeId]); 2] = [
+            |v, nodes| v.node_local = nodes.to_vec(),
+            |v, _| v.peak_mem_hint = ByteSize::gib(200),
+        ];
+        for mutate in mutations {
+            let mut launches = Vec::new();
+            for incremental_queues in [true, false] {
+                let mut sched = RupamScheduler::new(RupamConfig {
+                    incremental_queues,
+                    ..RupamConfig::default()
+                });
+                sched.on_app_start(&app, &cluster);
+                let offer = |nodes, pending| OfferInput {
+                    now: SimTime::ZERO,
+                    cluster: &cluster,
+                    app: &app,
+                    nodes,
+                    pending,
+                    speculatable: vec![],
+                    job_arrivals: vec![SimTime::ZERO],
+                    job_tenants: vec![rupam_dag::TenantId(0)],
+                    changed: None,
+                    pending_fresh: None,
+                };
+                // round 1: every node blocked, so every task stays queued
+                let pending: Vec<_> = (0..4).map(resync_view).collect();
+                let round1 = sched.offer_round(&offer(idle_views(&cluster, true), pending.clone()));
+                assert!(round1.is_empty(), "blocked cluster launched {round1:?}");
+                assert_eq!(sched.tm().queues.len(), 4);
+                // round 2: task 1's view changed while it sat in the queue
+                let mut pending = pending;
+                mutate(&mut pending[1], &everywhere);
+                let round2 = sched.offer_round(&offer(idle_views(&cluster, false), pending));
+                launches.push(format!("{round2:?}"));
+            }
+            assert_eq!(
+                launches[0], launches[1],
+                "incremental launches diverged from the reference after a view change"
+            );
+        }
     }
 
     #[test]

@@ -181,16 +181,17 @@ pub struct OfferInput<'a> {
     pub changed: Option<Vec<NodeId>>,
     /// The task-side counterpart of [`changed`](Self::changed): the
     /// caller's warranty about how `pending` differs from the previous
-    /// offer round it gave this scheduler. `None` means "unknown —
-    /// rescan everything" (the sim engine rebuilds its pending list per
-    /// round and always passes `None`). A `Some` list is sorted by
+    /// offer round it gave this scheduler. `None` means "unknown": the
+    /// scheduler re-syncs its own task-side state from every pending
+    /// view, in `O(pending)` (the sim engine rebuilds its pending list
+    /// per round and always passes `None`). A `Some` list is sorted by
     /// `(stage, index)` and contains every task that (a) entered or
     /// re-entered the pending set since the previous round, or (b) is
     /// still pending but had its view change (placement preferences,
     /// peak-memory hint). Tasks the *scheduler's own commands* launched
     /// are exempt — the scheduler saw those leave. Schedulers may use
-    /// the list to ingest new work in `O(fresh)` and keep persistent
-    /// task-queue partitions instead of rescanning `O(pending)` per
+    /// the list to ingest new work and refresh their persistent
+    /// task-queue state in `O(fresh)` instead of `O(pending)` per
     /// round, but must decide identically either way.
     pub pending_fresh: Option<Vec<TaskRef>>,
 }
